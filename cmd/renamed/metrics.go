@@ -32,7 +32,7 @@ type serverMetrics struct {
 
 // cachedStats memoizes an expensive stats snapshot for ttl, so a scrape
 // that reads a dozen series derived from one snapshot pays for it once —
-// and a tight scrape loop cannot turn lease.Manager.Metrics (an O(live)
+// and a tight scrape loop cannot turn lease.Manager.Metrics (an O(namespace)
 // stripe walk) into a denial of service.
 type cachedStats[T any] struct {
 	fetch func() T

@@ -14,9 +14,9 @@ import (
 // cycles through lease.Manager, sweeping the shard count of its lease
 // table (Shards: 1 is the pre-sharding single-mutex manager) and the
 // namer underneath. The quantity of interest is how much bookkeeping —
-// lock striping, heap pushes, atomic capacity reservation — costs on top
-// of the namer's probes, and whether it scales instead of serializing
-// every operation on one mutex.
+// lock striping, slot-table stores, atomic capacity reservation — costs
+// on top of the namer's probes, and whether it scales instead of
+// serializing every operation on one mutex.
 func runF8(cfg RunConfig) (*Table, error) {
 	t := &Table{
 		ID:      "F8",
@@ -60,7 +60,7 @@ func runF8(cfg RunConfig) (*Table, error) {
 	}
 	t.AddNote("GOMAXPROCS=%d, %d workers x %d acquire+renew+release cycles, MaxLive=capacity=%d",
 		runtime.GOMAXPROCS(0), workers, cycles, capacity)
-	t.AddNote("background sweeper off: the cycle cost isolates lock striping + expiry-heap bookkeeping")
+	t.AddNote("background sweeper off: the cycle cost isolates lock striping + slot-table bookkeeping")
 	return t, nil
 }
 

@@ -2,8 +2,10 @@ package lint
 
 import (
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,6 +92,39 @@ func TestNoAllocFixture(t *testing.T)          { runFixture(t, NoAlloc) }
 func TestTelemetryHandlesFixture(t *testing.T) { runFixture(t, TelemetryHandles) }
 func TestWireErrorsFixture(t *testing.T)       { runFixture(t, WireErrors) }
 func TestCtxPropagationFixture(t *testing.T)   { runFixture(t, CtxPropagation) }
+
+// TestNoAllocLeavesNoBuildOutput runs the noalloc analyzer over a main
+// package, where a plain `go build .` writes an executable into the
+// package directory, and checks that the directory is left as it was.
+func TestNoAllocLeavesNoBuildOutput(t *testing.T) {
+	const dir = "./testdata/src/noallocmain"
+	list := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	before := list()
+	pkgs, err := Load(".", dir)
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	diags, err := Run([]*Analyzer{NoAlloc}, pkgs)
+	if err != nil {
+		t.Fatalf("running noalloc: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+	if after := list(); !slices.Equal(before, after) {
+		t.Fatalf("noalloc changed %s: %v before, %v after", dir, before, after)
+	}
+}
 
 // TestSuiteCleanOnTree is the in-test mirror of CI's
 // `go run ./cmd/renamedlint ./...`: the shipped tree itself must be

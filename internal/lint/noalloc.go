@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
 	"regexp"
 	"strconv"
@@ -41,8 +42,10 @@ func runNoAlloc(pass *Pass) error {
 	}
 
 	// The build cache replays compiler output, so repeated runs stay
-	// cheap; -e keeps going past unrelated build errors elsewhere.
-	cmd := exec.Command("go", "build", "-gcflags=-m", ".")
+	// cheap. -o os.DevNull discards the build result: for a main
+	// package a plain `go build .` would write its executable into the
+	// package directory.
+	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull, ".")
 	cmd.Dir = pass.Dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {

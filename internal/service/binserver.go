@@ -116,6 +116,15 @@ func (s *BinServer) Serve(ln net.Listener) error {
 	}
 }
 
+// OpenConns returns the number of accepted connections whose serving
+// goroutine has not finished yet. Once it reads 0, every request those
+// connections dispatched has been applied.
+func (s *BinServer) OpenConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
 // Close stops accepting, cancels in-flight operations and closes every
 // connection. Idempotent.
 func (s *BinServer) Close() error {

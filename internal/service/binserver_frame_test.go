@@ -103,12 +103,27 @@ func TestBinServerHalfPayloadStallIdlesOut(t *testing.T) {
 	}
 }
 
+// waitOpenConns waits, under a deadline, until srv has exactly n open
+// connections.
+func waitOpenConns(t *testing.T, srv *BinServer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.OpenConns() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("open connections = %d, want %d", srv.OpenConns(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestBinServerMidPipelineReset: a client that pipelines a burst and
 // resets the connection mid-write must not disturb anything outside its
-// own connection — requests already dispatched still apply, and a
-// concurrent connection's responses stay frame-correct.
+// own connection — requests already dispatched still apply, and a later
+// connection's responses stay frame-correct. Each reset connection is
+// accepted before it is reset and fully drained before the next one, so
+// the stats comparison at the end cannot race a straggling dispatch.
 func TestBinServerMidPipelineReset(t *testing.T) {
-	addr, core := startBinServer(t, 256, BinConfig{})
+	srv, addr, core := serveBin(t, 256, BinConfig{})
 
 	for round := 0; round < 8; round++ {
 		conn, err := net.Dial("tcp", addr)
@@ -127,12 +142,14 @@ func TestBinServerMidPipelineReset(t *testing.T) {
 		if _, err := conn.Write(burst); err != nil {
 			t.Fatal(err)
 		}
+		waitOpenConns(t, srv, 1)
 		// ...then an RST instead of reads: SO_LINGER 0 makes Close send a
 		// reset, so the server hits a write error mid-flush.
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetLinger(0)
 		}
 		conn.Close()
+		waitOpenConns(t, srv, 0)
 	}
 
 	// The resets must not have corrupted shared state: a fresh connection

@@ -18,8 +18,15 @@ import (
 // startBinServer serves a fresh core on a loopback listener.
 func startBinServer(t *testing.T, capacity int, cfg BinConfig) (addr string, core *Core) {
 	t.Helper()
+	_, addr, core = serveBin(t, capacity, cfg)
+	return addr, core
+}
+
+// serveBin is startBinServer that also returns the server itself.
+func serveBin(t *testing.T, capacity int, cfg BinConfig) (srv *BinServer, addr string, core *Core) {
+	t.Helper()
 	core = newCore(t, capacity, nil)
-	srv := NewBinServer(core, cfg)
+	srv = NewBinServer(core, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +39,7 @@ func startBinServer(t *testing.T, capacity int, cfg BinConfig) (addr string, cor
 			t.Errorf("Serve returned %v", err)
 		}
 	})
-	return ln.Addr().String(), core
+	return srv, ln.Addr().String(), core
 }
 
 // readFrame reads one response frame.

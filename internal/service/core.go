@@ -38,7 +38,7 @@ func New(mgr *lease.Manager, tel *Telemetry) *Core {
 // (Restore, Shutdown, Metrics) that are process concerns, not requests.
 func (c *Core) Manager() *lease.Manager { return c.mgr }
 
-// Stats snapshots the lease-table counters (an O(live) stripe walk —
+// Stats snapshots the lease-table counters (an O(namespace) slot walk —
 // cache it on scrape paths).
 func (c *Core) Stats() lease.Metrics { return c.mgr.Metrics() }
 

@@ -55,6 +55,7 @@ type ReleaseResult struct {
 
 // stripePlan groups a batch's item indices by the lock stripe their name
 // routes to, so the batch walk locks each involved stripe exactly once.
+// AcquireBatch, RenewBatch and ReleaseBatch all bucket through it.
 // Built with a counting sort into two flat slices — a renewal storm runs
 // this on every heartbeat, so no per-stripe map or slice-of-slices
 // allocations. Stripes are visited in index order; items keep their
@@ -155,7 +156,6 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 			results[i].Lease = l.clone()
 			renewed++
 		}
-		sh.maybeCompact()
 		sh.mu.Unlock()
 		// Lapsed leases were dropped under the lock; their names go back
 		// to the namer out here so a slow Release never stalls the stripe.

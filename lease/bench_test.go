@@ -151,8 +151,9 @@ func BenchmarkRenewBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepOnce measures an idle sweep over a fully live table: the
-// heap design makes it O(shards) peeks, independent of the live count.
+// BenchmarkSweepOnce measures an idle sweep over a fully live table: no
+// stripe's earliest-deadline bound has passed, so the sweep is one
+// comparison per shard, independent of the live count.
 func BenchmarkSweepOnce(b *testing.B) {
 	m := newBenchManager(b, 0)
 	for i := 0; i < 1<<10; i++ {
@@ -278,8 +279,8 @@ func (bm *baselineManager) Close() {
 // tens of milliseconds put that at single-digit milliseconds). The
 // pre-sharding baseline rescans every live lease under its one mutex on
 // every tick, so the sweep — not the namer — throttles the hot path; the
-// sharded manager's heap sweeps are O(expired) and its stripes keep ops
-// out of the sweeper's way.
+// sharded manager's sweeps skip every stripe with no deadline due and its
+// stripes keep ops out of the sweeper's way.
 func BenchmarkServiceScale(b *testing.B) {
 	const (
 		capacity   = 1 << 21

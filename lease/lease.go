@@ -15,10 +15,14 @@
 // Internally the manager is sharded (the lock-striping idiom of Alistarh,
 // Kopinsky, Matveev and Shavit's LevelArray paper, ICDCS 2014): the lease
 // table is split into nextPow2(GOMAXPROCS) stripes, each with its own
-// mutex and expiry min-heap, and names route to stripes by low bits. The
-// MaxLive capacity check is a lock-free atomic reservation, and sweeps pop
-// per-shard heaps — O(expired) — instead of scanning every live lease. So
-// bookkeeping scales with cores and the namer stays the hot path.
+// mutex, and names route to stripes by low bits. Because renaming hands
+// out dense small integers, each stripe is a flat slot array indexed by
+// the name's remaining bits — no map, no expiry index — so a renewal is
+// an index, a token compare and a deadline store. The MaxLive capacity
+// check is a lock-free atomic reservation, and a sweep skips every stripe
+// whose earliest-deadline bound is still in the future, so an idle sweep
+// is O(stripes). So bookkeeping scales with cores and the namer stays the
+// hot path.
 //
 // Acquisition comes in three forms: Acquire (non-cancellable), AcquireCtx
 // (abandons a slow acquisition when the context ends, with the capacity
@@ -34,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -221,10 +226,16 @@ type Manager struct {
 	namer renaming.Namer
 	cfg   Config
 
-	// shards is the striped lease table; len(shards) is a power of two
-	// and name & mask routes a name to its stripe.
+	// shards is the striped lease table; len(shards) is a power of two,
+	// name & mask routes a name to its stripe and name >> shift to its
+	// slot there.
 	shards []shard
 	mask   int
+	shift  int
+
+	// sweepMu serializes sweeps: a scan owns its stripe's nextDue from
+	// reset to last chunk, and drops the stripe lock between chunks.
+	sweepMu sync.Mutex
 
 	closed atomic.Bool
 	// inflight counts operations that may touch the table or observer;
@@ -281,10 +292,8 @@ func New(namer renaming.Namer, cfg Config) (*Manager, error) {
 		cfg:    cfg,
 		shards: make([]shard, cfg.Shards),
 		mask:   cfg.Shards - 1,
+		shift:  bits.TrailingZeros(uint(cfg.Shards)),
 		done:   make(chan struct{}),
-	}
-	for i := range m.shards {
-		m.shards[i].leases = make(map[int]Lease)
 	}
 	m.maxLive.Store(int64(cfg.MaxLive))
 	if cfg.SweepInterval > 0 {
@@ -308,8 +317,8 @@ func (m *Manager) sweepLoop() {
 	}
 }
 
-// shard returns the stripe name routes to.
-func (m *Manager) shard(name int) *shard { return &m.shards[name&m.mask] }
+// slot returns the stripe name routes to and name's slot index there.
+func (m *Manager) slot(name int) (*shard, int) { return &m.shards[name&m.mask], name >> m.shift }
 
 // clampTTL resolves a caller-requested duration against the config.
 func (m *Manager) clampTTL(ttl time.Duration) time.Duration {
@@ -457,7 +466,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, owner string, ttl time.Duratio
 		Meta:      meta,
 	}.clone()
 
-	sh := m.shard(name)
+	sh, i := m.slot(name)
 	sh.mu.Lock()
 	if m.closed.Load() {
 		// Raced with Close: hand the name straight back.
@@ -467,8 +476,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, owner string, ttl time.Duratio
 		m.rejected.Add(1)
 		return Lease{}, ErrClosed
 	}
-	sh.leases[name] = l
-	sh.expiries.push(heapEntry{at: l.ExpiresAt, name: name, token: l.Token})
+	sh.put(i, l, nil)
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.ObserveAcquire(l)
 	}
@@ -534,17 +542,13 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 
 	// Bucket the batch by stripe so each involved stripe is locked exactly
 	// once, however many of the k names it received.
-	buckets := make(map[int][]Lease, len(m.shards))
-	order := make([]int, 0, len(m.shards))
-	for _, l := range leases {
-		idx := l.Name & m.mask
-		if _, ok := buckets[idx]; !ok {
-			order = append(order, idx)
+	plan := m.planStripes(func(i int) int { return leases[i].Name }, k)
+	for s := range m.shards {
+		group := plan.group(s)
+		if len(group) == 0 {
+			continue
 		}
-		buckets[idx] = append(buckets[idx], l)
-	}
-	for pos, idx := range order {
-		sh := &m.shards[idx]
+		sh := &m.shards[s]
 		sh.mu.Lock()
 		if m.closed.Load() {
 			// Raced with Close or Shutdown. Nothing may stay half-granted:
@@ -557,15 +561,16 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 			// (and whose name it already handed back) is skipped.
 			sh.mu.Unlock()
 			var removed []int
-			for _, ridx := range order[:pos] {
-				ish := &m.shards[ridx]
+			for r := 0; r < s; r++ {
+				ish := &m.shards[r]
 				ish.mu.Lock()
-				for _, l := range buckets[ridx] {
-					cur, ok := ish.leases[l.Name]
-					if !ok || cur.Token != l.Token {
+				for _, i := range plan.group(r) {
+					l := leases[i]
+					rec := ish.lookup(l.Name >> m.shift)
+					if rec == nil || rec.Token != l.Token {
 						continue // Close's drain got here first
 					}
-					delete(ish.leases, l.Name)
+					*rec = Lease{}
 					if m.cfg.Observer != nil {
 						m.cfg.Observer.ObserveRelease(l.Name, l.Token)
 					}
@@ -578,20 +583,17 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 			// drain already returned).
 			m.releaseNames(removed)
 			// Everything not yet inserted is still ours outright.
-			remaining := 0
-			for _, ridx := range order[pos:] {
-				for _, l := range buckets[ridx] {
-					m.releaseName(l.Name)
-					remaining++
-				}
+			remaining := plan.restFrom(s)
+			for _, i := range remaining {
+				m.releaseName(leases[i].Name)
 			}
-			m.live.Add(-int64(len(removed) + remaining))
+			m.live.Add(-int64(len(removed) + len(remaining)))
 			m.rejected.Add(1)
 			return nil, ErrClosed
 		}
-		for _, l := range buckets[idx] {
-			sh.leases[l.Name] = l
-			sh.expiries.push(heapEntry{at: l.ExpiresAt, name: l.Name, token: l.Token})
+		for _, i := range group {
+			l := leases[i]
+			sh.put(l.Name>>m.shift, l, nil)
 			if m.cfg.Observer != nil {
 				m.cfg.Observer.ObserveAcquire(l)
 			}
@@ -617,7 +619,7 @@ func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error
 		return Lease{}, ErrClosed
 	}
 	defer m.exitOp()
-	sh := m.shard(name)
+	sh, _ := m.slot(name)
 	sh.mu.Lock()
 	// Re-check under the shard lock: a renewal racing Close must not
 	// succeed after Close has started, or the caller would hold a
@@ -628,9 +630,6 @@ func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error
 		return Lease{}, ErrClosed
 	}
 	l, expired, err := m.renewLocked(sh, name, token, ttl, m.cfg.Now())
-	if err == nil {
-		sh.maybeCompact()
-	}
 	sh.mu.Unlock()
 	if expired {
 		// The lapsed lease was dropped under the lock; the namer hand-back
@@ -644,35 +643,42 @@ func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error
 	return l.clone(), nil
 }
 
+// heldLocked returns the record of the live lease (name, token), the
+// check Renew and Release share; refusals settle the rejected counter.
+// A lapsed lease is dropped and reported expired: the caller MUST hand
+// name back to the namer (m.releaseName) after unlocking the stripe.
+// Callers hold sh.mu and name routes to sh.
+func (m *Manager) heldLocked(sh *shard, name int, token uint64, now time.Time) (rec *Lease, expired bool, err error) {
+	rec = sh.lookup(name >> m.shift)
+	switch {
+	case rec == nil:
+		err = ErrUnknownName
+	case rec.Token != token:
+		err = ErrWrongToken
+	case now.After(rec.ExpiresAt):
+		m.expireLocked(rec)
+		expired, err = true, ErrExpired
+	default:
+		return rec, false, nil
+	}
+	m.rejected.Add(1)
+	return nil, expired, err
+}
+
 // renewLocked applies one renewal against sh — the shared core of Renew
-// and RenewBatch. Refusals settle the rejected counter here; successes
-// leave the renewed counter (and compaction) to the caller, which batches
-// them. When the lease lapsed, it is dropped from the table and expired
-// reports true: the caller MUST hand name back to the namer
-// (m.releaseName) after unlocking the stripe. Callers hold sh.mu and name
-// routes to sh.
+// and RenewBatch: heldLocked's check, then an in-place deadline store.
+// Successes leave the renewed counter to the caller, which batches them.
 func (m *Manager) renewLocked(sh *shard, name int, token uint64, ttl time.Duration, now time.Time) (l Lease, expired bool, err error) {
-	l, ok := sh.leases[name]
-	if !ok {
-		m.rejected.Add(1)
-		return Lease{}, false, ErrUnknownName
+	rec, expired, err := m.heldLocked(sh, name, token, now)
+	if err != nil {
+		return Lease{}, expired, err
 	}
-	if l.Token != token {
-		m.rejected.Add(1)
-		return Lease{}, false, ErrWrongToken
-	}
-	if now.After(l.ExpiresAt) {
-		m.expireLocked(sh, name, l.Token)
-		m.rejected.Add(1)
-		return Lease{}, true, ErrExpired
-	}
-	l.ExpiresAt = now.Add(m.clampTTL(ttl))
-	sh.leases[name] = l
-	sh.expiries.push(heapEntry{at: l.ExpiresAt, name: name, token: l.Token})
+	rec.ExpiresAt = now.Add(m.clampTTL(ttl))
+	sh.due(rec.ExpiresAt)
 	if m.cfg.Observer != nil {
-		m.cfg.Observer.ObserveRenew(name, token, l.ExpiresAt)
+		m.cfg.Observer.ObserveRenew(name, token, rec.ExpiresAt)
 	}
-	return l, false, nil
+	return *rec, false, nil
 }
 
 // Release ends the lease identified by (name, token) and returns the name
@@ -685,7 +691,7 @@ func (m *Manager) Release(name int, token uint64) error {
 		return ErrClosed
 	}
 	defer m.exitOp()
-	sh := m.shard(name)
+	sh, _ := m.slot(name)
 	sh.mu.Lock()
 	if m.closed.Load() {
 		sh.mu.Unlock()
@@ -717,25 +723,14 @@ func (m *Manager) Release(name int, token uint64) error {
 // reclaim of a lapsed lease and its error is only counted. Callers hold
 // sh.mu and name routes to sh.
 func (m *Manager) releaseLocked(sh *shard, name int, token uint64, now time.Time) (handback bool, err error) {
-	l, ok := sh.leases[name]
-	if !ok {
-		m.rejected.Add(1)
-		return false, ErrUnknownName
+	rec, expired, err := m.heldLocked(sh, name, token, now)
+	if err != nil {
+		return expired, err
 	}
-	if l.Token != token {
-		m.rejected.Add(1)
-		return false, ErrWrongToken
-	}
-	if now.After(l.ExpiresAt) {
-		m.expireLocked(sh, name, l.Token)
-		m.rejected.Add(1)
-		return true, ErrExpired
-	}
-	delete(sh.leases, name)
+	*rec = Lease{}
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.ObserveRelease(name, token)
 	}
-	sh.maybeCompact()
 	m.live.Add(-1)
 	m.released.Add(1)
 	return true, nil
@@ -751,24 +746,24 @@ func (m *Manager) Get(name int) (l Lease, ok bool) {
 	if mayReclaim {
 		defer m.exitOp()
 	}
-	sh := m.shard(name)
+	sh, i := m.slot(name)
 	sh.mu.Lock()
-	l, ok = sh.leases[name]
-	if !ok {
+	rec := sh.lookup(i)
+	if rec == nil {
 		sh.mu.Unlock()
 		return Lease{}, false
 	}
-	if m.cfg.Now().After(l.ExpiresAt) {
+	if m.cfg.Now().After(rec.ExpiresAt) {
 		if !mayReclaim {
 			sh.mu.Unlock()
 			return Lease{}, false
 		}
-		m.expireLocked(sh, name, l.Token)
+		m.expireLocked(rec)
 		sh.mu.Unlock()
 		m.releaseName(name)
 		return Lease{}, false
 	}
-	l = l.clone()
+	l = rec.clone()
 	sh.mu.Unlock()
 	return l, true
 }
@@ -778,28 +773,34 @@ func (m *Manager) Get(name int) (l Lease, ok bool) {
 // a time, so a holder releasing one name and acquiring another while the
 // snapshot runs can appear under both or neither.
 func (m *Manager) Leases() []Lease {
-	now := m.cfg.Now()
 	var out []Lease
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, l := range sh.leases {
-			if now.After(l.ExpiresAt) {
-				continue
-			}
-			out = append(out, l.clone())
-		}
-		sh.mu.Unlock()
-	}
+	m.eachLive(func(rec *Lease) { out = append(out, rec.clone()) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
+// eachLive calls f on every unexpired lease, holding one stripe's lock
+// at a time — the walk behind Leases and Metrics.
+func (m *Manager) eachLive(f func(rec *Lease)) {
+	now := m.cfg.Now()
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		for _, rec := range sh.slots {
+			if held(rec) && !now.After(rec.ExpiresAt) {
+				f(rec)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // SweepOnce reclaims every expired lease now and reports how many it
 // reclaimed. The background sweeper calls this on every tick; tests call
-// it directly for deterministic reclamation. One sweep is O(expired) per
-// shard — it pops each shard's expiry heap until the head is unexpired —
-// rather than a scan of every live lease.
+// it directly for deterministic reclamation. A stripe whose earliest-
+// deadline bound is still in the future costs one comparison, so an idle
+// sweep is O(stripes); a stripe with a lapsed bound is scanned slot by
+// slot in bounded lock holds.
 func (m *Manager) SweepOnce() int {
 	if !m.enterOp() {
 		return 0
@@ -809,23 +810,20 @@ func (m *Manager) SweepOnce() int {
 }
 
 // sweepAll sweeps every shard, locking each in turn (never two at once).
-// Expired names are collected under each stripe's lock but handed back to
-// the namer only after that stripe is unlocked: one sweep over O(expired)
+// Expired names are collected under the stripe locks but handed back to
+// the namer only after the sweep is over: one sweep over O(expired)
 // leases must not hold a shard hostage across O(expired) namer.Release
 // calls, which can be arbitrarily slow (and, with a journaling observer
 // gone synchronous, disk-speed).
 func (m *Manager) sweepAll(now time.Time) int {
-	reclaimed := 0
 	var expired []int
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		expired = m.sweepLocked(sh, now, expired[:0])
-		sh.mu.Unlock()
-		m.releaseNames(expired)
-		reclaimed += len(expired)
+	m.sweepMu.Lock()
+	for s := range m.shards {
+		expired = m.sweepShard(s, now, expired)
 	}
-	return reclaimed
+	m.sweepMu.Unlock()
+	m.releaseNames(expired)
+	return len(expired)
 }
 
 // Metrics returns a snapshot of the operation counters. Live excludes
@@ -834,22 +832,12 @@ func (m *Manager) sweepAll(now time.Time) int {
 // Leases, the count is per-shard consistent only: under concurrent churn
 // it can transiently read above MaxLive (a holder's old and new names
 // both counted), so don't alert on Live <= capacity as a hard invariant.
-// Computing Live is an O(live/shards) scan per stripe — one stripe locked
-// at a time, never the whole table — so poll /debug/vars at monitoring
-// cadence, not in a tight loop.
+// Computing Live scans every slot of one stripe at a time, never the
+// whole table under one lock — O(namespace) in total — so poll
+// /debug/vars at monitoring cadence, not in a tight loop.
 func (m *Manager) Metrics() Metrics {
-	now := m.cfg.Now()
 	live := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, l := range sh.leases {
-			if !now.After(l.ExpiresAt) {
-				live++
-			}
-		}
-		sh.mu.Unlock()
-	}
+	m.eachLive(func(*Lease) { live++ })
 	return Metrics{
 		Acquired:           m.acquired.Load(),
 		Renewed:            m.renewed.Load(),
@@ -881,15 +869,17 @@ func (m *Manager) Close() error {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		names = names[:0]
-		for name, l := range sh.leases {
-			delete(sh.leases, name)
+		for _, rec := range sh.slots {
+			if !held(rec) {
+				continue
+			}
 			m.live.Add(-1)
 			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveRelease(name, l.Token)
+				m.cfg.Observer.ObserveRelease(rec.Name, rec.Token)
 			}
-			names = append(names, name)
+			names = append(names, rec.Name)
+			*rec = Lease{}
 		}
-		sh.expiries = nil
 		sh.mu.Unlock()
 		// Namer hand-backs run outside the stripe lock, like every other
 		// reclaim path.
@@ -991,9 +981,9 @@ type RestoreState struct {
 }
 
 // Restore rebuilds the lease table from recovered state: every still-
-// unexpired lease is re-inserted into its stripe with its original
-// fencing token, its deadline is pushed on the stripe's expiry heap, the
-// live counter is re-established, its name is re-seized in the namer via
+// unexpired lease is re-inserted into its stripe's slot with its original
+// fencing token and deadline, the live counter is re-established, its
+// name is re-seized in the namer via
 // Adopt, and the fencing-token counter is advanced past the recovered
 // watermark. Leases whose TTL lapsed while the service was down are not
 // restored; they count as expired (Metrics.Expired, ObserveExpire) and
@@ -1019,7 +1009,10 @@ func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 	}
 	now := m.cfg.Now()
 	watermark := st.Token
-	for _, l := range st.Leases {
+	// One allocation backs the records of every restored name, rather
+	// than one per name on its first grant.
+	recs := make([]Lease, len(st.Leases))
+	for k, l := range st.Leases {
 		if l.Token > watermark {
 			watermark = l.Token
 		}
@@ -1037,11 +1030,9 @@ func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 		if aerr := adopter.Adopt(l.Name); aerr != nil {
 			return restored, expired, fmt.Errorf("lease: restore name %d: %w", l.Name, aerr)
 		}
-		l = l.clone()
-		sh := m.shard(l.Name)
+		sh, i := m.slot(l.Name)
 		sh.mu.Lock()
-		sh.leases[l.Name] = l
-		sh.expiries.push(heapEntry{at: l.ExpiresAt, name: l.Name, token: l.Token})
+		sh.put(i, l.clone(), &recs[k])
 		sh.mu.Unlock()
 		m.live.Add(1)
 		restored++
