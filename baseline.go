@@ -26,6 +26,9 @@ func NewUniform(n int, opts ...Option) (*Uniform, error) {
 	if n < 1 {
 		return nil, badConfig("uniform", "n", fmt.Sprint(n), "need n >= 1")
 	}
+	if err := checkNamespace("uniform", "n", n, (1+o.epsilon)*float64(n)); err != nil {
+		return nil, err
+	}
 	alg, err := baseline.NewUniform(n, o.epsilon, 0)
 	if err != nil {
 		return nil, wrapConfig("uniform", err)
@@ -51,6 +54,9 @@ func NewLinearScan(n int, opts ...Option) (*LinearScan, error) {
 	}
 	if n < 1 {
 		return nil, badConfig("linearscan", "n", fmt.Sprint(n), "need n >= 1")
+	}
+	if err := checkNamespace("linearscan", "n", n, float64(n)); err != nil {
+		return nil, err
 	}
 	alg, err := baseline.NewLinearScan(n)
 	if err != nil {

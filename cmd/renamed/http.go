@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -198,13 +197,14 @@ func (s *server) varsHandler() http.Handler {
 	})
 }
 
-// The JSON wire types live in internal/wire, shared with the leaseclient
-// session layer so server and client cannot drift; the handlers below
-// are thin JSON adapters over the service core's bindings.
+// The JSON wire types and their codec live in internal/wire, shared with
+// the leaseclient session layer so server and client cannot drift; the
+// handlers below are thin JSON adapters over the service core's
+// bindings.
 
 func (s *server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req wire.AcquireRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeAcquireRequest) {
 		return
 	}
 	// The request context ties the probe sequence to the client: a peer
@@ -215,12 +215,12 @@ func (s *server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, l)
+	writeJSON(w, http.StatusOK, &l, wire.AppendLease)
 }
 
 func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.AcquireBatchRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeAcquireBatchRequest) {
 		return
 	}
 	ls, err := s.bind.AcquireBatch(r.Context(), &req)
@@ -228,12 +228,12 @@ func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, wire.Leases{Leases: ls})
+	writeJSON(w, http.StatusOK, &wire.Leases{Leases: ls}, wire.AppendLeases)
 }
 
 func (s *server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req wire.RenewRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeRenewRequest) {
 		return
 	}
 	l, err := s.bind.Renew(&req)
@@ -241,7 +241,7 @@ func (s *server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, l)
+	writeJSON(w, http.StatusOK, &l, wire.AppendLease)
 }
 
 // handleRenewBatch is the heartbeat hot path: one request renews every
@@ -252,7 +252,7 @@ func (s *server) handleRenew(w http.ResponseWriter, r *http.Request) {
 // already done) gets a non-2xx status.
 func (s *server) handleRenewBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.RenewBatchRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeRenewBatchRequest) {
 		return
 	}
 	items := make([]lease.RenewItem, len(req.Items))
@@ -262,26 +262,25 @@ func (s *server) handleRenewBatch(w http.ResponseWriter, r *http.Request) {
 	// The request context is threaded through: a client that disconnects
 	// mid-batch stops the stripe walk instead of renewing leases for a
 	// session that is gone.
-	verdicts, err := s.bind.RenewBatch(r.Context(), wire.TTLFromMs(req.TTLms), items, nil)
+	verdicts, err := s.bind.RenewBatch(r.Context(), wire.TTLFromMs(req.TTLms), items, make([]service.Verdict, 0, len(items)))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	out := wire.BatchResults{Results: make([]wire.BatchResult, len(verdicts))}
-	for i, v := range verdicts {
-		if v.Code != "" {
+	for i := range verdicts {
+		if v := &verdicts[i]; v.Code != "" {
 			out.Results[i] = wire.BatchResult{Error: v.Msg, Code: v.Code}
-			continue
+		} else {
+			out.Results[i].Lease = &v.Lease
 		}
-		l := v.Lease
-		out.Results[i].Lease = &l
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, &out, wire.AppendBatchResults)
 }
 
 func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReleaseRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeReleaseRequest) {
 		return
 	}
 	if err := s.bind.Release(&req); err != nil {
@@ -296,14 +295,14 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 // holding hundreds of names must not take hundreds of round trips.
 func (s *server) handleReleaseBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReleaseBatchRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeReleaseBatchRequest) {
 		return
 	}
 	items := make([]lease.ReleaseItem, len(req.Items))
 	for i, it := range req.Items {
 		items[i] = lease.ReleaseItem{Name: it.Name, Token: it.Token}
 	}
-	verdicts, err := s.bind.ReleaseBatch(r.Context(), items, nil)
+	verdicts, err := s.bind.ReleaseBatch(r.Context(), items, make([]service.Verdict, 0, len(items)))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -314,7 +313,7 @@ func (s *server) handleReleaseBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i] = wire.BatchResult{Error: v.Msg, Code: v.Code}
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, &out, wire.AppendBatchResults)
 }
 
 // handleResize retargets the elastic namespace online: the namer's
@@ -325,24 +324,35 @@ func (s *server) handleReleaseBatch(w http.ResponseWriter, r *http.Request) {
 // exactly which half moved; only a malformed body gets a non-2xx.
 func (s *server) handleResize(w http.ResponseWriter, r *http.Request) {
 	var req wire.ResizeRequest
-	if !s.decode(w, r, &req) {
+	if !decode(s, w, r, &req, wire.DecodeResizeRequest) {
 		return
 	}
-	st := s.bind.Resize(req.Capacity)
-	s.writeJSON(w, http.StatusOK, st.Wire())
+	resp := s.bind.Resize(req.Capacity).Wire()
+	writeJSON(w, http.StatusOK, &resp, wire.AppendResizeResponse)
 }
 
 func (s *server) handleLeases(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, wire.Leases{Leases: s.core.Leases()})
+	writeJSON(w, http.StatusOK, &wire.Leases{Leases: s.core.Leases()}, wire.AppendLeases)
 }
 
-func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(into); err != nil {
-		s.errors.Add(1)
-		s.writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad request body: " + err.Error()})
-		return false
+// decode reads the request body, up to wire.MaxBody bytes, into a pooled
+// buffer and parses it into v with dec. A body that fails to parse is
+// answered 400; when the read itself failed, its error is the one shown.
+func decode[T any](s *server, w http.ResponseWriter, r *http.Request, v *T, dec func([]byte, *T) error) bool {
+	buf := wire.GetBuffer()
+	var rerr error
+	*buf, rerr = wire.ReadBody(r.Body, *buf, wire.MaxBody)
+	err := dec(*buf, v)
+	wire.PutBuffer(buf)
+	if err == nil {
+		return true
 	}
-	return true
+	if rerr != nil {
+		err = rerr
+	}
+	s.errors.Add(1)
+	writeJSON(w, http.StatusBadRequest, &wire.Error{Error: "bad request body: " + err.Error()}, wire.AppendError)
+	return false
 }
 
 // writeError maps lease/namer errors onto HTTP status codes:
@@ -369,13 +379,18 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, lease.ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, wire.Error{Error: err.Error()})
+	writeJSON(w, status, &wire.Error{Error: err.Error()}, wire.AppendError)
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON sends v, encoded by enc into a pooled buffer and ended with
+// a newline, in one write.
+func writeJSON[T any](w http.ResponseWriter, status int, v *T, enc func([]byte, *T) []byte) {
+	buf := wire.GetBuffer()
+	*buf = append(enc(*buf, v), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(*buf)
+	wire.PutBuffer(buf)
 }
 
 // logFinalSnapshot emits the shutdown metrics snapshot: one structured

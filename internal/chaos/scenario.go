@@ -701,10 +701,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 // ever asks for retargets the elastic server must accept.
 func postResize(httpAddr string, n int) (wire.ResizeResponse, error) {
 	var out wire.ResizeResponse
-	body, err := json.Marshal(wire.ResizeRequest{Capacity: n})
-	if err != nil {
-		return out, err
-	}
+	body := wire.AppendResizeRequest(nil, &wire.ResizeRequest{Capacity: n})
 	client := &http.Client{Timeout: 2 * time.Second}
 	resp, err := client.Post("http://"+httpAddr+"/v1/resize", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -714,7 +711,10 @@ func postResize(httpAddr string, n int) (wire.ResizeResponse, error) {
 	if resp.StatusCode != http.StatusOK {
 		return out, fmt.Errorf("resize to %d: HTTP %d", n, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		return out, err
+	}
+	if err := wire.DecodeResizeResponse(body, &out); err != nil {
 		return out, err
 	}
 	for _, r := range out.Results {

@@ -3,9 +3,9 @@ package leaseclient
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 
@@ -29,35 +29,40 @@ func newHTTPTransport(base string, client *http.Client) *httpTransport {
 
 func (t *httpTransport) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
 	var l wire.Lease
-	err := t.post(ctx, "/v1/acquire", req, &l)
+	err := t.post(ctx, "/v1/acquire", wire.AppendAcquireRequest(newBody(), req),
+		func(b []byte) error { return wire.DecodeLease(b, &l) })
 	return l, err
 }
 
 func (t *httpTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error) {
 	var ls wire.Leases
-	err := t.post(ctx, "/v1/acquire_batch", req, &ls)
+	err := t.post(ctx, "/v1/acquire_batch", wire.AppendAcquireBatchRequest(newBody(), req),
+		func(b []byte) error { return wire.DecodeLeases(b, &ls) })
 	return ls, err
 }
 
 func (t *httpTransport) Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error) {
 	var l wire.Lease
-	err := t.post(ctx, "/v1/renew", req, &l)
+	err := t.post(ctx, "/v1/renew", wire.AppendRenewRequest(newBody(), req),
+		func(b []byte) error { return wire.DecodeLease(b, &l) })
 	return l, err
 }
 
 func (t *httpTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error) {
 	var rs wire.BatchResults
-	err := t.post(ctx, "/v1/renew_batch", req, &rs)
+	err := t.post(ctx, "/v1/renew_batch", wire.AppendRenewBatchRequest(newBody(), req),
+		func(b []byte) error { return wire.DecodeBatchResults(b, &rs) })
 	return rs, err
 }
 
 func (t *httpTransport) Release(ctx context.Context, req *wire.ReleaseRequest) error {
-	return t.post(ctx, "/v1/release", req, nil)
+	return t.post(ctx, "/v1/release", wire.AppendReleaseRequest(newBody(), req), nil)
 }
 
 func (t *httpTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error) {
 	var rs wire.BatchResults
-	err := t.post(ctx, "/v1/release_batch", req, &rs)
+	err := t.post(ctx, "/v1/release_batch", wire.AppendReleaseBatchRequest(newBody(), req),
+		func(b []byte) error { return wire.DecodeBatchResults(b, &rs) })
 	return rs, err
 }
 
@@ -77,6 +82,11 @@ func (t *httpTransport) Ping(ctx context.Context) error {
 	}
 	return nil
 }
+
+// newBody returns the buffer one request body is encoded into. Request
+// bodies are not pooled: the transport may still be reading one after
+// Do returns.
+func newBody() []byte { return make([]byte, 0, 1024) }
 
 // Close is a no-op: the http.Client's pooled connections outlive any
 // one transport by design.
@@ -105,16 +115,14 @@ func sentinelForStatus(status int) error {
 	}
 }
 
-// post sends one JSON request and decodes a 2xx response into out (when
-// non-nil). Non-2xx responses come back as *ServerError with the wire
-// error body's message; the typed per-item errors inside batch results
-// flow through wire.ErrFor instead.
-func (t *httpTransport) post(ctx context.Context, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("leaseclient: encode %s: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+path, bytes.NewReader(buf))
+// post sends one JSON request body and hands a 2xx response's body to
+// decode (when non-nil). Non-2xx responses come back as *ServerError
+// with the wire error body's message; the typed per-item errors inside
+// batch results flow through wire.ErrFor instead. Response bodies are
+// read into a pooled buffer, which decode must not retain (the codec's
+// decoded values never refer to it).
+func (t *httpTransport) post(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("leaseclient: %s: %w", path, err)
 	}
@@ -126,10 +134,13 @@ func (t *httpTransport) post(ctx context.Context, path string, body, out any) er
 		return fmt.Errorf("leaseclient: %s [rid=%s]: %w", path, reqID, err)
 	}
 	defer resp.Body.Close()
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
 	if resp.StatusCode >= 300 {
 		var we wire.Error
 		msg := ""
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&we) == nil {
+		*buf, _ = wire.ReadBody(resp.Body, *buf, 1<<16)
+		if wire.DecodeError(*buf, &we) == nil {
 			msg = we.Error
 		}
 		io.Copy(io.Discard, resp.Body)
@@ -141,8 +152,13 @@ func (t *httpTransport) post(ctx context.Context, path string, body, out any) er
 			Err:       sentinelForStatus(resp.StatusCode),
 		}
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if decode != nil {
+		var rerr error
+		*buf, rerr = wire.ReadBody(resp.Body, *buf, math.MaxInt)
+		if err := decode(*buf); err != nil {
+			if rerr != nil {
+				err = rerr
+			}
 			return fmt.Errorf("leaseclient: decode %s: %w", path, err)
 		}
 	}

@@ -3,7 +3,12 @@ package renaming
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"net/url"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -112,6 +117,21 @@ func TestOpenRejections(t *testing.T) {
 		{"eps on fastadaptive", "fastadaptive?n=64&eps=0.5"},
 		{"invalid value", "rebatching?n=64&eps=-1"},
 		{"zero n", "rebatching?n=0"},
+		// Past the 2^40-slot namespace limit; these used to overflow int
+		// and panic inside the TAS space.
+		{"huge eps rebatching", "rebatching?n=1024&eps=1e300"},
+		{"huge eps adaptive", "adaptive?n=1024&eps=1e300"},
+		{"huge eps uniform", "uniform?n=1024&eps=1e300"},
+		{"huge gamma levelarray", "levelarray?n=1024&gamma=1e300"},
+		{"linearscan past 2^40", "linearscan?n=1099511627777"},
+	}
+	for _, driver := range Drivers() {
+		for _, n := range []int{1 << 62, math.MaxInt} {
+			cases = append(cases, struct {
+				name string
+				dsn  string
+			}{fmt.Sprintf("%s n=%d", driver, n), fmt.Sprintf("%s?n=%d", driver, n)})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,4 +168,68 @@ func TestDriversListsBuiltins(t *testing.T) {
 	if got := Drivers(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Drivers() = %v, want %v", got, want)
 	}
+}
+
+// FuzzOpenDSN: Open never panics on any DSN, and every error it returns
+// matches ErrBadConfig. So that the fuzzer cannot build namers that
+// exhaust memory, inputs asking for n above 4096 or a slack (eps,
+// gamma) above 64 are skipped; TestOpenRejections covers those.
+func FuzzOpenDSN(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"?",
+		"?n=4",
+		"nosuchdriver?n=4",
+		"rebatching?n=64&eps=0.5&beta=2&t0=6&seed=9",
+		"adaptive?n=64&eps=0.5&t0=6",
+		"fastadaptive?n=64&beta=3&seed=1",
+		"fastadaptive?n=64&eps=2",
+		"levelarray?n=64&gamma=2&probes=3&resizable",
+		"levelarray?n=8&resizable=true&padded=true",
+		"uniform?n=64&eps=1.5&counting",
+		"linearscan?n=64&padded=yes",
+		"rebatching",
+		"rebatching?n=",
+		"rebatching?n=0",
+		"rebatching?n=-3",
+		"rebatching?n=1&n=2",
+		"rebatching?n=4&eps=NaN",
+		"rebatching?n=4&eps=-0.5",
+		"rebatching?n=4&eps=1e-300",
+		"uniform?n=4&eps=Inf",
+		"adaptive?n=4&beta=-1",
+		"levelarray?n=4&probes=-1&gamma=0",
+		"levelarray?n=4&bogus=1",
+		"linearscan?n=4&seed=18446744073709551616",
+		"linearscan?n=%zz",
+		"linearscan?n=1;2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, dsn string) {
+		_, rawQuery, _ := strings.Cut(dsn, "?")
+		if q, err := url.ParseQuery(rawQuery); err == nil {
+			if n, err := strconv.Atoi(q.Get("n")); err == nil && n > 4096 {
+				return
+			}
+			for _, key := range []string{"eps", "gamma"} {
+				if x, err := strconv.ParseFloat(q.Get(key), 64); err == nil && x > 64 {
+					return
+				}
+			}
+		}
+		nm, err := Open(dsn)
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Open(%q): error %v does not match ErrBadConfig", dsn, err)
+			}
+			if nm != nil {
+				t.Fatalf("Open(%q) returned a namer with error %v", dsn, err)
+			}
+			return
+		}
+		if nm.Namespace() < 1 {
+			t.Fatalf("Open(%q): namespace %d", dsn, nm.Namespace())
+		}
+	})
 }

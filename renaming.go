@@ -55,6 +55,7 @@ package renaming
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -351,6 +352,9 @@ func NewReBatching(n int, opts ...Option) (*ReBatching, error) {
 	if n < 1 {
 		return nil, badConfig("rebatching", "n", fmt.Sprint(n), "need n >= 1")
 	}
+	if err := checkNamespace("rebatching", "n", n, (1+o.epsilon)*float64(n)); err != nil {
+		return nil, err
+	}
 	alg, err := core.NewReBatching(core.ReBatchingConfig{
 		N:          n,
 		Epsilon:    o.epsilon,
@@ -382,6 +386,9 @@ func NewAdaptive(maxContention int, opts ...Option) (*Adaptive, error) {
 	}
 	if maxContention < 1 {
 		return nil, badConfig("adaptive", "maxContention", fmt.Sprint(maxContention), "need maxContention >= 1")
+	}
+	if err := checkNamespace("adaptive", "maxContention", maxContention, adaptiveNamespace(o.epsilon, maxContention)); err != nil {
+		return nil, err
 	}
 	alg, err := core.NewAdaptive(core.AdaptiveConfig{
 		Epsilon:    o.epsilon,
@@ -420,6 +427,9 @@ func NewFastAdaptive(maxContention int, opts ...Option) (*FastAdaptive, error) {
 	if maxContention < 1 {
 		return nil, badConfig("fastadaptive", "maxContention", fmt.Sprint(maxContention), "need maxContention >= 1")
 	}
+	if err := checkNamespace("fastadaptive", "maxContention", maxContention, adaptiveNamespace(1, maxContention)); err != nil {
+		return nil, err
+	}
 	alg, err := core.NewFastAdaptive(core.FastAdaptiveConfig{
 		Beta:       o.beta,
 		T0Override: o.t0Override,
@@ -429,6 +439,30 @@ func NewFastAdaptive(maxContention int, opts ...Option) (*FastAdaptive, error) {
 		return nil, wrapConfig("fastadaptive", err)
 	}
 	return &FastAdaptive{namer: newNamer(alg, o)}, nil
+}
+
+// maxNamespace is the largest namespace any namer lays out: the
+// LevelArray's 2^40-slot limit, applied to every namer before its TAS
+// space is allocated. A larger request could not be allocated, and its
+// size can overflow int on the way there.
+const maxNamespace = 1 << 40
+
+// checkNamespace rejects a namer whose namespace of slots, reckoned in
+// floating point so that an oversized request cannot wrap, exceeds
+// maxNamespace; key and n name the parameter that asked for it.
+func checkNamespace(namer, key string, n int, slots float64) error {
+	if slots > maxNamespace {
+		return badConfig(namer, key, fmt.Sprint(n),
+			fmt.Sprintf("namespace of %.3g slots exceeds the 2^40-slot limit", slots))
+	}
+	return nil
+}
+
+// adaptiveNamespace bounds the adaptive namers' namespace: levels R_1 ..
+// R_L of (1+ε)·2^i slots each, L = core.MaxLevelFor(maxContention), sum
+// to about (1+ε)·2^(L+1).
+func adaptiveNamespace(eps float64, maxContention int) float64 {
+	return (1 + eps) * math.Ldexp(1, core.MaxLevelFor(maxContention)+1)
 }
 
 // wrapConfig converts an algorithm-layer construction error into the
