@@ -1,27 +1,18 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	renaming "repro"
-	"repro/internal/wire"
-	"repro/internal/wire/binproto"
 	"repro/lease"
-	"repro/leaseclient"
 )
 
 // engineRenewsPerSec measures sustained renewal throughput against the
 // lease engine directly: a standing population of `leases` renewed in
 // RenewBatch chunks of `batch` for `dur`. This is the in-process
-// counterpart of the -sessions loadgen — no HTTP, no JSON, just the
+// counterpart of loadgen.Sessions — no HTTP, no JSON, just the
 // table — so the number is comparable across machines and isolates
 // engine regressions from transport ones.
 func engineRenewsPerSec(leases, batch int, dur time.Duration) (float64, error) {
@@ -68,293 +59,4 @@ func engineRenewsPerSec(leases, batch int, dur time.Duration) (float64, error) {
 		}
 	}
 	return float64(renewed) / time.Since(start).Seconds(), nil
-}
-
-// liveRenewsPerSec measures renewal throughput against a running
-// renamed server over real HTTP: a heartbeating leaseclient session
-// holding `leases` with a short TTL, observed for `dur`. Unlike the
-// engine number this includes JSON, the transport, and the heartbeat
-// schedule, so it is a service-level figure.
-func liveRenewsPerSec(target string, leases int, dur time.Duration) (float64, error) {
-	sess, err := leaseclient.NewSession(leaseclient.Config{
-		Target: target,
-		Owner:  "benchreport",
-		TTL:    time.Second,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer sess.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), dur)
-	defer cancel()
-	if _, err := sess.AcquireN(ctx, leases); err != nil {
-		return 0, err
-	}
-	base := sess.Stats().Renewed
-	start := time.Now()
-	time.Sleep(dur)
-	elapsed := time.Since(start)
-	st := sess.Stats()
-	if st.TransportErrors > 0 {
-		return 0, fmt.Errorf("live loadgen saw %d transport errors against %s", st.TransportErrors, target)
-	}
-	return float64(st.Renewed-base) / elapsed.Seconds(), nil
-}
-
-// transportRenewsPerSec measures SATURATED renewal throughput over one
-// wire: `workers` clients each own a leaseclient transport (http:// or
-// bin:// by target scheme) and tight-loop renew_batch calls of `batch`
-// leases with no heartbeat schedule in between. Unlike liveRenewsPerSec
-// this measures what the transport can move, not what a polite session
-// chooses to send — it is the honest basis for comparing wires.
-func transportRenewsPerSec(target string, leases, batch, workers int, dur time.Duration) (float64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	if leases < batch*workers {
-		leases = batch * workers
-	}
-	setup, err := leaseclient.NewTransport(target)
-	if err != nil {
-		return 0, err
-	}
-	defer setup.Close()
-	ctx := context.Background()
-	granted, err := setup.AcquireBatch(ctx, &wire.AcquireBatchRequest{
-		Owner: "benchreport", Count: leases, TTLms: time.Hour.Milliseconds(),
-	})
-	if err != nil {
-		return 0, fmt.Errorf("acquiring %d leases: %w", leases, err)
-	}
-	defer func() {
-		items := make([]wire.Item, len(granted.Leases))
-		for i, l := range granted.Leases {
-			items[i] = wire.Item{Name: l.Name, Token: l.Token}
-		}
-		setup.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: items})
-	}()
-
-	var renewed atomic.Int64
-	errs := make(chan error, workers)
-	start := time.Now()
-	deadline := start.Add(dur)
-	var wg sync.WaitGroup
-	per := len(granted.Leases) / workers
-	for w := 0; w < workers; w++ {
-		share := granted.Leases[w*per : (w+1)*per]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr, err := leaseclient.NewTransport(target)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer tr.Close()
-			req := wire.RenewBatchRequest{Items: make([]wire.Item, 0, batch)}
-			for pos := 0; time.Now().Before(deadline); {
-				end := pos + batch
-				if end > len(share) {
-					end = len(share)
-				}
-				req.Items = req.Items[:0]
-				for _, l := range share[pos:end] {
-					req.Items = append(req.Items, wire.Item{Name: l.Name, Token: l.Token})
-				}
-				res, err := tr.RenewBatch(context.Background(), &req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for i := range res.Results {
-					if res.Results[i].Code != "" {
-						errs <- fmt.Errorf("renew verdict %q", res.Results[i].Code)
-						return
-					}
-				}
-				renewed.Add(int64(len(req.Items)))
-				if pos = end; pos >= len(share) {
-					pos = 0
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errs:
-		return 0, fmt.Errorf("loadgen against %s: %w", target, err)
-	default:
-	}
-	return float64(renewed.Load()) / elapsed.Seconds(), nil
-}
-
-// binPipelinedRenewsPerSec measures the binary protocol with its
-// pipelining actually used: one persistent connection, `depth` renew
-// frames kept in flight (a writer goroutine streams requests while the
-// reader drains responses), reused encode/decode buffers. This is the
-// traffic shape the wire was designed for — request/response latency
-// amortized away, throughput bounded by per-frame CPU — and the number
-// behind the renews_per_sec_bin row.
-func binPipelinedRenewsPerSec(addr string, leases, batch, depth int, dur time.Duration) (float64, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	if leases < batch {
-		leases = batch
-	}
-	setup, err := leaseclient.NewTransport("bin://" + addr)
-	if err != nil {
-		return 0, err
-	}
-	defer setup.Close()
-	granted, err := setup.AcquireBatch(context.Background(), &wire.AcquireBatchRequest{
-		Owner: "benchreport", Count: leases, TTLms: time.Hour.Milliseconds(),
-	})
-	if err != nil {
-		return 0, fmt.Errorf("acquiring %d leases: %w", leases, err)
-	}
-	defer func() {
-		items := make([]wire.Item, len(granted.Leases))
-		for i, l := range granted.Leases {
-			items[i] = wire.Item{Name: l.Name, Token: l.Token}
-		}
-		setup.ReleaseBatch(context.Background(), &wire.ReleaseBatchRequest{Items: items})
-	}()
-
-	// Pre-encode one renew_batch frame per chunk of the lease population;
-	// the steady-state writer recycles them (only the request id changes),
-	// so the client side costs one header patch + one buffered write per
-	// frame and the server sees back-to-back frames it can coalesce.
-	var chunks [][]byte
-	for pos := 0; pos < len(granted.Leases); pos += batch {
-		end := pos + batch
-		if end > len(granted.Leases) {
-			end = len(granted.Leases)
-		}
-		items := make([]wire.Item, 0, end-pos)
-		for _, l := range granted.Leases[pos:end] {
-			items = append(items, wire.Item{Name: l.Name, Token: l.Token})
-		}
-		buf, start := binproto.BeginFrame(nil, binproto.TRenewBatch, 0)
-		buf = binproto.AppendRenewBatchReq(buf, time.Hour.Milliseconds(), items)
-		chunks = append(chunks, binproto.EndFrame(buf, start))
-	}
-
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(dur + 30*time.Second))
-	bw := bufio.NewWriterSize(conn, 256<<10)
-	br := bufio.NewReaderSize(conn, 256<<10)
-
-	// Flow control: the writer takes a slot before each renew frame, the
-	// reader returns it per response, so at most `depth` frames are in
-	// flight and a slow server backpressures the writer instead of
-	// growing an unbounded queue. When the deadline passes, the writer
-	// sends one TStats frame as an end-of-stream sentinel: the server
-	// processes a connection's frames strictly in order, so the stats
-	// response arriving tells the reader every renew response before it
-	// has been consumed — no sent/received accounting, no race between
-	// "writer finished" and "reader blocked on a response that will
-	// never come".
-	slots := make(chan struct{}, depth)
-	for i := 0; i < depth; i++ {
-		slots <- struct{}{}
-	}
-	writeErr := make(chan error, 1)
-	start := time.Now()
-	deadline := start.Add(dur)
-	go func() {
-		var id uint64
-		for time.Now().Before(deadline) {
-			<-slots
-			frame := chunks[id%uint64(len(chunks))]
-			id++
-			// Only the request ID changes between sends; the template's
-			// length and payload CRC (stamped by EndFrame) stay valid.
-			binary.BigEndian.PutUint64(frame[4:12], id)
-			if _, err := bw.Write(frame); err != nil {
-				writeErr <- err
-				return
-			}
-			// Flush only when no slot is immediately available: back-to-
-			// back frames coalesce into large writes, and the last frame
-			// of a burst still goes out before the writer would block.
-			if len(slots) == 0 {
-				if err := bw.Flush(); err != nil {
-					writeErr <- err
-					return
-				}
-			}
-		}
-		sentinel, s := binproto.BeginFrame(nil, binproto.TStats, 0)
-		if _, err := bw.Write(binproto.EndFrame(sentinel, s)); err != nil {
-			writeErr <- err
-			return
-		}
-		writeErr <- bw.Flush()
-	}()
-
-	var renewed int64
-	var results []binproto.RenewResult
-	hdr := make([]byte, binproto.HeaderLen)
-	payload := []byte{}
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			select {
-			case werr := <-writeErr:
-				if werr != nil {
-					return 0, fmt.Errorf("bin loadgen write: %w", werr)
-				}
-			default:
-			}
-			return 0, fmt.Errorf("bin loadgen read: %w", err)
-		}
-		h, err := binproto.ParseHeader(hdr)
-		if err != nil {
-			return 0, err
-		}
-		if cap(payload) < int(h.Len) {
-			payload = make([]byte, h.Len)
-		}
-		payload = payload[:h.Len]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return 0, fmt.Errorf("bin loadgen read: %w", err)
-		}
-		if h.Type == binproto.TStats|binproto.RespBit {
-			break // sentinel: every renew response is in
-		}
-		if h.Type != binproto.TRenewBatch|binproto.RespBit {
-			return 0, fmt.Errorf("bin loadgen: response type %#02x", byte(h.Type))
-		}
-		if results, err = binproto.DecodeRenewBatchResp(payload, results); err != nil {
-			return 0, err
-		}
-		for i := range results {
-			if results[i].Code != binproto.CodeOK {
-				return 0, fmt.Errorf("renew verdict %q", binproto.CodeString(results[i].Code))
-			}
-		}
-		renewed += int64(len(results))
-		// Return the slot AFTER counting: the writer may already be
-		// waiting on it for the next frame.
-		select {
-		case slots <- struct{}{}:
-		default:
-		}
-	}
-	elapsed := time.Since(start)
-	if werr := <-writeErr; werr != nil {
-		return 0, fmt.Errorf("bin loadgen write: %w", werr)
-	}
-	return float64(renewed) / elapsed.Seconds(), nil
 }

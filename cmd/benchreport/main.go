@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"repro/internal/loadgen"
 )
 
 func main() {
@@ -78,7 +80,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		)
 		if *target != "" {
 			fmt.Fprintf(stderr, "benchreport: live loadgen against %s for %v\n", *target, *loadDur)
-			rps, err = liveRenewsPerSec(*target, *loadN, *loadDur)
+			// One heartbeating session over the standing set: a
+			// service-level figure, wire and heartbeat schedule included.
+			var sr loadgen.SessionReport
+			sr, err = loadgen.Sessions(*target, *loadN, 1, 0, time.Second, *loadDur)
+			if err == nil && sr.TransportErrs > 0 {
+				err = fmt.Errorf("%d transport errors against %s", sr.TransportErrs, *target)
+			}
+			rps = sr.RenewsPerS
 		} else {
 			fmt.Fprintf(stderr, "benchreport: engine loadgen, %d leases x batch %d for %v\n", *loadN, *loadBatch, *loadDur)
 			rps, err = engineRenewsPerSec(*loadN, *loadBatch, *loadDur)
@@ -106,15 +115,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *loadDur > 0 && httpTarget != "" && binTarget != "" {
 		fmt.Fprintf(stderr, "benchreport: saturated HTTP loadgen against %s for %v\n", httpTarget, *loadDur)
-		rps, err := transportRenewsPerSec(httpTarget, *loadN, *liveBatch, 4, *loadDur)
+		rps, err := loadgen.Saturate(httpTarget, *loadN, *liveBatch, 4, *loadDur)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchreport: http loadgen: %v\n", err)
 			return 1
 		}
 		rep.Derived.RenewsPerSecHTTP = rps
-		addr := strings.TrimPrefix(binTarget, "bin://")
 		fmt.Fprintf(stderr, "benchreport: pipelined binary loadgen against %s for %v\n", binTarget, *loadDur)
-		rps, err = binPipelinedRenewsPerSec(addr, *loadN, *liveBatch, 8, *loadDur)
+		rps, err = loadgen.Pipelined(binTarget, *loadN, *liveBatch, 8, *loadDur)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchreport: bin loadgen: %v\n", err)
 			return 1

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/loadgen"
 	"repro/internal/wire"
 	"repro/lease"
 )
@@ -41,8 +41,8 @@ func newGracefulStack(t *testing.T, handler http.Handler) (*http.Server, net.Lis
 
 // TestServeGracefulShutdown: cancelling the signal context must drain the
 // server cleanly — serveGraceful returns nil, the listener stops
-// accepting, and the manager is closed so every lease went back to the
-// namer.
+// accepting, the manager is closed so every lease went back to the
+// namer, and the final metrics snapshot line reports the lease counters.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv, ln, mgr := newGracefulStack(t, nil)
 	base := "http://" + ln.Addr().String()
@@ -77,8 +77,20 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("listener still accepting connections after shutdown")
 	}
-	if !strings.Contains(out.String(), "shutdown complete") {
-		t.Fatalf("shutdown log incomplete: %q", out.String())
+	log := out.String()
+	if !strings.Contains(log, "shutdown complete") {
+		t.Fatalf("shutdown log incomplete: %q", log)
+	}
+	for _, want := range []string{`msg="final metrics snapshot"`, " acquired=1 ", " live="} {
+		if !strings.Contains(log, want) {
+			t.Errorf("final snapshot missing %q: %q", want, log)
+		}
+	}
+	// Fields of the deleted HTTP-only series must not come back.
+	for _, gone := range []string{" requests=", " renew_p99_us="} {
+		if strings.Contains(log, gone) {
+			t.Errorf("final snapshot carries %q: %q", gone, log)
+		}
 	}
 }
 
@@ -120,37 +132,6 @@ func TestServeGracefulDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestLatencySummaryCompat pins the /debug/vars latency shape over the
-// shared telemetry histogram: same log2-bucket quantile bounds and the
-// same count/mean_us/p50_us/p90_us/p99_us summary fields as before the
-// histogram unification.
-func TestLatencySummaryCompat(t *testing.T) {
-	h := telemetry.NewHistogram()
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 <= 0 || p99 < p50 {
-		t.Fatalf("non-monotonic quantiles: p50 %v, p99 %v", p50, p99)
-	}
-	// Log2 buckets report the bucket's upper bound, so each quantile is
-	// at most 2x the true value: p50 (true 500µs) ≤ 2^19ns ≈ 524µs, p99
-	// (true 990µs) ≤ 2^20ns ≈ 1.05ms.
-	if p50 > time.Millisecond || p99 > 2*time.Millisecond {
-		t.Fatalf("quantiles beyond 2x bucket bound: p50 %v, p99 %v", p50, p99)
-	}
-	s := summarize(h)
-	if s.Count != 1000 || s.MeanUs <= 0 || s.P99Us < s.P50Us {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P50Us != float64(p50)/1e3 || s.P99Us != float64(p99)/1e3 {
-		t.Fatalf("summary quantiles drifted from the histogram's: %+v vs p50 %v p99 %v", s, p50, p99)
-	}
-}
-
 // TestLoadReportUsesMeasuredElapsed: throughput must be computed over the
 // measured wall time, not the configured duration — workers finish their
 // in-flight cycle past the deadline, and dividing by the configured
@@ -158,7 +139,7 @@ func TestLatencySummaryCompat(t *testing.T) {
 func TestLoadReportUsesMeasuredElapsed(t *testing.T) {
 	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: -1})
 	const configured = 100 * time.Millisecond
-	rep, err := runLoad(srv.URL, 4, 1, 1, configured)
+	rep, err := loadgen.Cycles(srv.URL, 4, 1, 1, configured)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +155,7 @@ func TestLoadReportUsesMeasuredElapsed(t *testing.T) {
 		t.Fatalf("acquire latency summary inconsistent: %+v", rep.AcquireLat)
 	}
 	var out bytes.Buffer
-	rep.print(&out)
+	rep.Print(&out)
 	if !strings.Contains(out.String(), "latency") {
 		t.Fatalf("report missing latency line: %q", out.String())
 	}

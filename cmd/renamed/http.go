@@ -2,8 +2,6 @@ package main
 
 import (
 	"errors"
-	"expvar"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -22,8 +20,8 @@ import (
 
 // server is the HTTP front end over the shared service core: JSON
 // adapters around the same transport-neutral operations the binary
-// protocol serves, plus the observability surfaces (/metrics,
-// /debug/vars, pprof) that only make sense over HTTP.
+// protocol serves, plus the observability surfaces (/metrics, pprof)
+// that only make sense over HTTP.
 type server struct {
 	mgr   *lease.Manager
 	mux   *http.ServeMux
@@ -41,20 +39,11 @@ type server struct {
 	bind   *service.Binding
 	binSrv *service.BinServer
 
-	// met is the Prometheus surface (GET /metrics); the /debug/vars
-	// expvar view reads the same histograms, so the two cannot disagree.
+	// met is the Prometheus surface (GET /metrics).
 	met *serverMetrics
 
-	// request counters, exported through expvar-style /debug/vars.
-	requests atomic.Int64
-	errors   atomic.Int64
-
-	// per-operation latency histograms: one telemetry.Histogram per /v1
-	// op, shared between /metrics (cumulative buckets) and /debug/vars
-	// (µs quantile summaries).
-	lat struct {
-		acquire, acquireBatch, renew, renewBatch, release, releaseBatch, resize *telemetry.Histogram
-	}
+	// errors counts requests answered with an error status.
+	errors atomic.Int64
 
 	// slowThreshold gates the structured slow-operation log line; 0
 	// disables it. slowLog defaults to stderr; tests redirect it.
@@ -75,18 +64,17 @@ func newServer(mgr *lease.Manager, store *persist.Store) *server {
 	s.met = newServerMetrics(s)
 	s.core = service.New(mgr, s.met.svc)
 	s.bind = s.core.Bind("http")
-	s.lat.acquire = s.mountTimed("acquire", s.handleAcquire)
-	s.lat.acquireBatch = s.mountTimed("acquire_batch", s.handleAcquireBatch)
-	s.lat.renew = s.mountTimed("renew", s.handleRenew)
-	s.lat.renewBatch = s.mountTimed("renew_batch", s.handleRenewBatch)
-	s.lat.release = s.mountTimed("release", s.handleRelease)
-	s.lat.releaseBatch = s.mountTimed("release_batch", s.handleReleaseBatch)
-	s.lat.resize = s.mountTimed("resize", s.handleResize)
+	s.mountTimed("acquire", s.handleAcquire)
+	s.mountTimed("acquire_batch", s.handleAcquireBatch)
+	s.mountTimed("renew", s.handleRenew)
+	s.mountTimed("renew_batch", s.handleRenewBatch)
+	s.mountTimed("release", s.handleRelease)
+	s.mountTimed("release_batch", s.handleReleaseBatch)
+	s.mountTimed("resize", s.handleResize)
 	s.mux.HandleFunc("GET /v1/leases", s.handleLeases)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	s.mux.Handle("GET /debug/vars", s.varsHandler())
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", telemetry.ContentType)
 		s.met.reg.WritePrometheus(w)
@@ -107,7 +95,6 @@ func (s *server) enablePprof() {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	// Echo the client's request ID on every response so either side of a
 	// slow or failed call can quote the same handle; mint one for bare
 	// callers (curl) so the slow-op log never carries an empty id. The
@@ -122,78 +109,19 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// mountTimed mounts fn as "POST /v1/<op>" with the per-op instrumentation:
-// request counter, latency histogram (returned, shared with /debug/vars)
-// and the slow-operation log line carrying the request's X-Request-Id.
-func (s *server) mountTimed(op string, fn http.HandlerFunc) *telemetry.Histogram {
-	h := s.met.latency.With(op)
-	reqs := s.met.requests.With(op)
+// mountTimed mounts fn as "POST /v1/<op>" with the slow-operation log
+// line carrying the request's X-Request-Id. Request counts and latency
+// are the service core's (renamed_requests_total{transport="http"}).
+func (s *server) mountTimed(op string, fn http.HandlerFunc) {
 	s.mux.HandleFunc("POST /v1/"+op, func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
 		start := time.Now()
 		fn(w, r)
-		d := time.Since(start)
-		h.Observe(d)
-		if s.slowThreshold > 0 && d >= s.slowThreshold {
+		if d := time.Since(start); s.slowThreshold > 0 && d >= s.slowThreshold {
 			s.slowLog.Warn("slow operation",
 				"op", op,
 				"duration_ms", float64(d)/float64(time.Millisecond),
 				"request_id", r.Header.Get(wire.HeaderRequestID))
 		}
-	})
-	return h
-}
-
-// varsHandler serves the expvar JSON format with the service's own gauges
-// under a private map, avoiding the process-global expvar registry so
-// multiple servers (tests) can coexist.
-func (s *server) varsHandler() http.Handler {
-	vars := expvar.Map{}
-	vars.Set("renamed_requests", expvar.Func(func() any { return s.requests.Load() }))
-	vars.Set("renamed_errors", expvar.Func(func() any { return s.errors.Load() }))
-	vars.Set("renamed_uptime_seconds", expvar.Func(func() any { return time.Since(s.start).Seconds() }))
-	vars.Set("renamed_lease", expvar.Func(func() any { return s.mgr.Metrics() }))
-	vars.Set("renamed_persist", expvar.Func(func() any {
-		// s.store is assigned after newServer returns (run() wires it),
-		// so the nil check must live here in the closure, not at
-		// registration time; null means "no -data-dir".
-		if s.store == nil {
-			return nil
-		}
-		st := s.store.Stats()
-		// Stats.Err is an error (not JSON-friendly); flatten it.
-		errStr := ""
-		if st.Err != nil {
-			errStr = st.Err.Error()
-		}
-		return map[string]any{
-			"recovered_leases": st.RecoveredLeases,
-			"replayed_records": st.ReplayedRecords,
-			"truncated_bytes":  st.TruncatedBytes,
-			"recovery_ms":      float64(st.RecoveryDuration) / float64(time.Millisecond),
-			"appends":          st.Appends,
-			"syncs":            st.Syncs,
-			"compactions":      st.Compactions,
-			"journal_bytes":    st.JournalBytes,
-			"journal_records":  st.JournalRecords,
-			"live":             st.Live,
-			"err":              errStr,
-		}
-	}))
-	vars.Set("renamed_latency", expvar.Func(func() any {
-		return map[string]histSummary{
-			"acquire":       summarize(s.lat.acquire),
-			"acquire_batch": summarize(s.lat.acquireBatch),
-			"renew":         summarize(s.lat.renew),
-			"renew_batch":   summarize(s.lat.renewBatch),
-			"release":       summarize(s.lat.release),
-			"release_batch": summarize(s.lat.releaseBatch),
-			"resize":        summarize(s.lat.resize),
-		}
-	}))
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{%q: %s}\n", "renamed", vars.String())
 	})
 }
 
@@ -402,7 +330,6 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 	lm := s.mgr.Metrics()
 	attrs := []any{
 		"uptime_s", time.Since(s.start).Seconds(),
-		"requests", s.requests.Load(),
 		"errors", s.errors.Load(),
 		"acquired", lm.Acquired,
 		"renewed", lm.Renewed,
@@ -412,7 +339,6 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 		"live", lm.Live,
 		"max_live", lm.MaxLive,
 		"resizes", lm.Resizes,
-		"renew_p99_us", summarize(s.lat.renewBatch).P99Us,
 	}
 	if s.store != nil {
 		st := s.store.Stats()

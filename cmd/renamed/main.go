@@ -55,7 +55,7 @@
 //	                            "results":[{"component":"namer"},{"component":"lease"}]}
 //	GET  /v1/leases         -> {"leases":[...]}
 //	GET  /healthz           -> ok
-//	GET  /debug/vars        -> expvar counters (renamed_* metrics)
+//	GET  /metrics           -> Prometheus text exposition (renamed_* series)
 //
 // Acquisitions are tied to the request context: a client that disconnects
 // mid-acquire cancels the probe sequence instead of holding a name nobody
@@ -90,6 +90,7 @@ import (
 	"time"
 
 	renaming "repro"
+	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/lease"
 	"repro/lease/persist"
@@ -154,18 +155,18 @@ All drivers accept seed=<uint64>, padded=<bool>, counting=<bool>.
 	}
 	if *load {
 		if *sessionsN > 0 {
-			rep, err := runSessionLoad(*target, *sessionsN, *clients, *churn, *leaseTTL, *duration)
+			rep, err := loadgen.Sessions(*target, *sessionsN, *clients, *churn, *leaseTTL, *duration)
 			if err != nil {
 				return err
 			}
-			rep.print(out)
+			rep.Print(out)
 			return nil
 		}
-		rep, err := runLoad(*target, *clients, *renews, *batch, *duration)
+		rep, err := loadgen.Cycles(*target, *clients, *renews, *batch, *duration)
 		if err != nil {
 			return err
 		}
-		rep.print(out)
+		rep.Print(out)
 		return nil
 	}
 

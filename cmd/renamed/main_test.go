@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/wire"
 	"repro/lease"
 	"repro/leaseclient"
@@ -221,39 +222,22 @@ func TestHugeTTLCappedNotWrapped(t *testing.T) {
 	}
 }
 
-func TestHealthAndVars(t *testing.T) {
+// TestHealthAndNoVars: /healthz answers, and /metrics is the only
+// metrics surface — the old expvar /debug/vars is not served.
+func TestHealthAndNoVars(t *testing.T) {
 	srv := newTestServer(t, 4, lease.Config{TTL: time.Minute, SweepInterval: -1})
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d", resp.StatusCode)
-	}
-	postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
-	varsResp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Renamed struct {
-			Requests int64 `json:"renamed_requests"`
-			Lease    struct {
-				Acquired int64
-				Live     int
-			} `json:"renamed_lease"`
-		} `json:"renamed"`
-	}
-	if err := json.NewDecoder(varsResp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	varsResp.Body.Close()
-	if vars.Renamed.Requests < 2 {
-		t.Errorf("renamed_requests = %d, want >= 2", vars.Renamed.Requests)
-	}
-	if vars.Renamed.Lease.Acquired != 1 || vars.Renamed.Lease.Live != 1 {
-		t.Errorf("lease metrics = %+v", vars.Renamed.Lease)
+	for path, want := range map[string]int{
+		"/healthz":    http.StatusOK,
+		"/debug/vars": http.StatusNotFound,
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -261,7 +245,7 @@ func TestHealthAndVars(t *testing.T) {
 // a short run must complete cycles without a single failure.
 func TestLoadGenerator(t *testing.T) {
 	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: -1})
-	rep, err := runLoad(srv.URL, 8, 2, 1, 300*time.Millisecond)
+	rep, err := loadgen.Cycles(srv.URL, 8, 2, 1, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +259,15 @@ func TestLoadGenerator(t *testing.T) {
 		t.Fatalf("renews = %d, want 2 per acquire: %+v", rep.Renews, rep)
 	}
 	var out bytes.Buffer
-	rep.print(&out)
+	rep.Print(&out)
 	if !strings.Contains(out.String(), "throughput") {
 		t.Fatalf("report output missing throughput: %q", out.String())
 	}
 }
 
 func TestLoadTargetUnreachable(t *testing.T) {
-	if _, err := runLoad("http://127.0.0.1:1", 1, 0, 1, time.Millisecond); err == nil {
-		t.Fatal("runLoad against a dead target did not error")
+	if _, err := loadgen.Cycles("http://127.0.0.1:1", 1, 0, 1, time.Millisecond); err == nil {
+		t.Fatal("loadgen.Cycles against a dead target did not error")
 	}
 }
 
@@ -367,7 +351,7 @@ func TestAcquireBatchEndpointErrors(t *testing.T) {
 // stay failure-free and balanced.
 func TestLoadGeneratorBatchMode(t *testing.T) {
 	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: -1})
-	rep, err := runLoad(srv.URL, 4, 1, 8, 300*time.Millisecond)
+	rep, err := loadgen.Cycles(srv.URL, 4, 1, 8, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +571,7 @@ func TestSessionAgainstRealServer(t *testing.T) {
 // cycle alongside, and nothing may be lost or fail.
 func TestLoadGeneratorSessionsMode(t *testing.T) {
 	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: 20 * time.Millisecond})
-	rep, err := runSessionLoad(srv.URL, 64, 4, 2, 500*time.Millisecond, 1500*time.Millisecond)
+	rep, err := loadgen.Sessions(srv.URL, 64, 4, 2, 500*time.Millisecond, 1500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +591,7 @@ func TestLoadGeneratorSessionsMode(t *testing.T) {
 		t.Fatalf("churn traffic unhealthy: %+v", rep)
 	}
 	var out bytes.Buffer
-	rep.print(&out)
+	rep.Print(&out)
 	if !strings.Contains(out.String(), "renewal throughput") {
 		t.Fatalf("report output missing throughput: %q", out.String())
 	}

@@ -25,9 +25,6 @@ type serverMetrics struct {
 	// renamed_batch_item_verdicts_total counters; the service core
 	// increments them for every transport, including this HTTP surface.
 	svc *service.Telemetry
-
-	requests *telemetry.CounterVec
-	latency  *telemetry.HistogramVec
 }
 
 // cachedStats memoizes an expensive stats snapshot for ttl, so a scrape
@@ -61,10 +58,6 @@ func newServerMetrics(s *server) *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 		svc: service.NewTelemetry(reg),
-		requests: reg.CounterVec("renamed_http_requests_total",
-			"HTTP requests served, by /v1 operation.", "op"),
-		latency: reg.HistogramVec("renamed_http_request_duration_seconds",
-			"Wall-clock handler latency, by /v1 operation.", "op"),
 	}
 
 	reg.CounterFunc("renamed_http_errors_total",
@@ -173,25 +166,4 @@ func (s *server) namerDraining() float64 {
 		return 1
 	}
 	return 0
-}
-
-// histSummary is the JSON shape latencies take in /debug/vars — kept
-// byte-compatible with the pre-telemetry expvar surface.
-type histSummary struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P90Us  float64 `json:"p90_us"`
-	P99Us  float64 `json:"p99_us"`
-}
-
-func summarize(h *telemetry.Histogram) histSummary {
-	s := histSummary{Count: h.Count()}
-	if s.Count > 0 {
-		s.MeanUs = float64(h.Sum()) / float64(s.Count) / 1e3
-	}
-	s.P50Us = float64(h.Quantile(0.50)) / 1e3
-	s.P90Us = float64(h.Quantile(0.90)) / 1e3
-	s.P99Us = float64(h.Quantile(0.99)) / 1e3
-	return s
 }

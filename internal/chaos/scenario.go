@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -109,15 +108,15 @@ type Report struct {
 	CallFaults  TransportStats `json:"call_faults"`
 	// TransportErrors aggregates every session's failed round trips —
 	// the evidence that injected corruption was DETECTED, not absorbed.
-	TransportErrors int64           `json:"transport_errors"`
-	Crashes         int64           `json:"crashes"`
-	Resizes         int64           `json:"resizes,omitempty"`
-	Violations      []Violation     `json:"violations"`
-	AuditLive       int             `json:"audit_live_leases"`
-	AuditToken      uint64          `json:"audit_max_token"`
-	AuditTorn       int64           `json:"audit_torn_bytes"`
-	ServerVars      json.RawMessage `json:"server_vars,omitempty"`
-	Pass            bool            `json:"pass"`
+	TransportErrors int64       `json:"transport_errors"`
+	Crashes         int64       `json:"crashes"`
+	Resizes         int64       `json:"resizes,omitempty"`
+	Violations      []Violation `json:"violations"`
+	AuditLive       int         `json:"audit_live_leases"`
+	AuditToken      uint64      `json:"audit_max_token"`
+	AuditTorn       int64       `json:"audit_torn_bytes"`
+	ServerMetrics   string      `json:"server_metrics,omitempty"`
+	Pass            bool        `json:"pass"`
 }
 
 // Print renders the human summary.
@@ -630,7 +629,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 
 	// Server metrics snapshot, then the graceful stop and the read-only
 	// audit of what the disk says happened.
-	serverVars := scrapeVars(httpAddr)
+	serverMetrics := scrapeMetrics(httpAddr)
 	crashes := srv.Kills()
 	if err := srv.Stop(10 * time.Second); err != nil {
 		logf("graceful stop: %v", err)
@@ -681,7 +680,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		AuditLive:       len(audit.Leases),
 		AuditToken:      audit.MaxToken,
 		AuditTorn:       audit.TornBytes,
-		ServerVars:      serverVars,
+		ServerMetrics:   serverMetrics,
 		TransportErrors: transportErrs,
 		Pass:            len(violations) == 0,
 	}
@@ -725,18 +724,18 @@ func postResize(httpAddr string, n int) (wire.ResizeResponse, error) {
 	return out, nil
 }
 
-// scrapeVars fetches the server's /debug/vars directly (not through the
-// proxy) for the report; best-effort.
-func scrapeVars(httpAddr string) json.RawMessage {
+// scrapeMetrics fetches the server's /metrics exposition directly (not
+// through the proxy) for the report; best-effort, "" on any failure.
+func scrapeMetrics(httpAddr string) string {
 	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get("http://" + httpAddr + "/debug/vars")
+	resp, err := client.Get("http://" + httpAddr + "/metrics")
 	if err != nil {
-		return nil
+		return ""
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || !json.Valid(body) {
-		return nil
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return ""
 	}
-	return body
+	return string(body)
 }

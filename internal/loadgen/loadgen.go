@@ -1,4 +1,20 @@
-package main
+// Package loadgen drives a running renamed server over either wire and
+// reports what it saw. The target scheme picks the wire: http://host:port
+// speaks JSON, bin://host:port speaks the binary protocol over one
+// persistent connection per worker. Four shapes of traffic:
+//
+//   - Cycles: acquire → renews → release, one cycle after another, with
+//     per-op client latency (renamed -load).
+//   - Sessions: a standing population of heartbeating leaseclient
+//     sessions, with churning acquire/release clients alongside
+//     (renamed -load -sessions; benchreport -target).
+//   - Saturate: tight-loop renew_batch over a standing set, no heartbeat
+//     schedule in between — what a wire can move (benchreport's
+//     renews_per_sec_http row).
+//   - Pipelined: the binary protocol with its pipelining used, many
+//     renew frames in flight on one connection (benchreport's
+//     renews_per_sec_bin row).
+package loadgen
 
 import (
 	"context"
@@ -13,24 +29,21 @@ import (
 	"repro/leaseclient"
 )
 
-// The load generator drives a running server through the leaseclient
-// transport layer, so one binary exercises both wires: -target
-// http://host:port speaks JSON, -target bin://host:port speaks the
-// binary protocol over a persistent connection per worker. Everything
-// above the transport — the cycle shape, the counters, the reports —
-// is wire-agnostic.
-
-// latSummary is one operation's client-observed latency in a load report.
-type latSummary struct {
+// LatSummary is one operation's client-observed latency in a report.
+type LatSummary struct {
 	P50, P99 time.Duration
 }
 
-// loadReport aggregates a load-generator run. Duration is the configured
-// run length; Elapsed is the measured wall time, which runs past Duration
+func quantiles(h *telemetry.Histogram) LatSummary {
+	return LatSummary{P50: h.Quantile(0.50), P99: h.Quantile(0.99)}
+}
+
+// CycleReport aggregates a Cycles run. Duration is the configured run
+// length; Elapsed is the measured wall time, which runs past Duration
 // because workers finish their in-flight acquire→renew→release cycle
 // after the deadline. Throughput is computed over Elapsed — dividing by
 // the configured duration overstated ops/sec by the overshoot.
-type loadReport struct {
+type CycleReport struct {
 	Clients    int
 	Batch      int // names acquired per cycle; > 1 uses batch acquisition
 	Duration   time.Duration
@@ -40,12 +53,13 @@ type loadReport struct {
 	Releases   int64
 	Failures   int64
 	OpsPerSec  float64
-	AcquireLat latSummary
-	RenewLat   latSummary
-	ReleaseLat latSummary
+	AcquireLat LatSummary
+	RenewLat   LatSummary
+	ReleaseLat LatSummary
 }
 
-func (r loadReport) print(out io.Writer) {
+// Print writes the human report.
+func (r CycleReport) Print(out io.Writer) {
 	fmt.Fprintf(out, "load: %d clients, batch %d, configured %v, ran %v\n",
 		r.Clients, r.Batch, r.Duration, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "  acquires  %d\n  renews    %d\n  releases  %d\n  failures  %d\n",
@@ -73,116 +87,130 @@ func pingTarget(target string) error {
 	return nil
 }
 
-// runLoad drives acquire -> renews -> release cycles against target from
-// `clients` goroutines for the given duration. batch > 1 acquires through
+// fanOut runs body on n goroutines, each with its own transport to
+// target, and returns once all have finished: the first error a worker
+// returned, else nil.
+func fanOut(target string, n int, body func(id int, tr leaseclient.Transport) error) error {
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for id := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := leaseclient.NewTransport(target)
+			if err == nil {
+				err = body(id, tr)
+				tr.Close()
+			}
+			if err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
+// Cycles drives acquire -> renews -> release cycles against target from
+// `clients` workers for the given duration. batch > 1 acquires through
 // batch acquisition (batch leases per cycle, each renewed and released
 // individually), measuring what batching saves on the acquisition path.
-// Each worker owns one transport: over bin:// that is one persistent
-// connection reused for every round trip.
-func runLoad(target string, clients, renewsPerLease, batch int, duration time.Duration) (loadReport, error) {
-	if batch < 1 {
-		batch = 1
-	}
+func Cycles(target string, clients, renewsPerLease, batch int, duration time.Duration) (CycleReport, error) {
+	batch = max(batch, 1)
 	if err := pingTarget(target); err != nil {
-		return loadReport{}, err
+		return CycleReport{}, err
 	}
 
 	var acquires, renews, releases, failures atomic.Int64
 	acquireLat, renewLat, releaseLat := telemetry.NewHistogram(), telemetry.NewHistogram(), telemetry.NewHistogram()
 	start := time.Now()
 	deadline := start.Add(duration)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tr, err := leaseclient.NewTransport(target)
-			if err != nil {
-				failures.Add(1)
-				return
+	err := fanOut(target, clients, func(id int, tr leaseclient.Transport) error {
+		ctx := context.Background()
+		owner := fmt.Sprintf("loadgen-%d", id)
+		timed := func(h *telemetry.Histogram, f func() error) bool {
+			t0 := time.Now()
+			if f() != nil {
+				// Failures are counted separately; recording them
+				// here would let client-timeout constants (5s)
+				// masquerade as the op's p99.
+				return false
 			}
-			defer tr.Close()
-			ctx := context.Background()
-			owner := fmt.Sprintf("loadgen-%d", id)
-			timed := func(h *telemetry.Histogram, f func() error) bool {
-				t0 := time.Now()
-				if f() != nil {
-					// Failures are counted separately; recording them
-					// here would let client-timeout constants (5s)
-					// masquerade as the op's p99.
-					return false
+			h.Observe(time.Since(t0))
+			return true
+		}
+		for time.Now().Before(deadline) {
+			// If the server granted leases but the response failed
+			// mid-read, the names stay leased until their TTL lapses;
+			// we can't release what we couldn't parse, so it's counted
+			// as a failure and left to the server's sweeper.
+			var cycle []wire.Lease
+			if batch > 1 {
+				var granted wire.Leases
+				if !timed(acquireLat, func() error {
+					var err error
+					granted, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: batch})
+					return err
+				}) {
+					failures.Add(1)
+					continue
 				}
-				h.Observe(time.Since(t0))
-				return true
+				acquires.Add(int64(len(granted.Leases)))
+				cycle = granted.Leases
+			} else {
+				var l wire.Lease
+				if !timed(acquireLat, func() error {
+					var err error
+					l, err = tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
+					return err
+				}) {
+					failures.Add(1)
+					continue
+				}
+				acquires.Add(1)
+				cycle = []wire.Lease{l}
 			}
-			for time.Now().Before(deadline) {
-				// If the server granted leases but the response failed
-				// mid-read, the names stay leased until their TTL lapses;
-				// we can't release what we couldn't parse, so it's counted
-				// as a failure and left to the server's sweeper.
-				var cycle []wire.Lease
-				if batch > 1 {
-					var granted wire.Leases
-					if !timed(acquireLat, func() error {
-						var err error
-						granted, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: batch})
-						return err
-					}) {
-						failures.Add(1)
-						continue
-					}
-					acquires.Add(int64(len(granted.Leases)))
-					cycle = granted.Leases
-				} else {
-					var l wire.Lease
-					if !timed(acquireLat, func() error {
-						var err error
-						l, err = tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
-						return err
-					}) {
-						failures.Add(1)
-						continue
-					}
-					acquires.Add(1)
-					cycle = []wire.Lease{l}
-				}
-				for _, l := range cycle {
-					ok := true
-					for r := 0; r < renewsPerLease && ok; r++ {
-						if timed(renewLat, func() error {
-							renewed, err := tr.Renew(ctx, &wire.RenewRequest{Name: l.Name, Token: l.Token})
-							if err == nil {
-								l = renewed
-							}
-							return err
-						}) {
-							renews.Add(1)
-						} else {
-							failures.Add(1)
-							ok = false
+			for _, l := range cycle {
+				ok := true
+				for r := 0; r < renewsPerLease && ok; r++ {
+					if timed(renewLat, func() error {
+						renewed, err := tr.Renew(ctx, &wire.RenewRequest{Name: l.Name, Token: l.Token})
+						if err == nil {
+							l = renewed
 						}
-					}
-					if timed(releaseLat, func() error {
-						return tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token})
+						return err
 					}) {
-						releases.Add(1)
+						renews.Add(1)
 					} else {
 						failures.Add(1)
+						ok = false
 					}
 				}
+				if timed(releaseLat, func() error {
+					return tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token})
+				}) {
+					releases.Add(1)
+				} else {
+					failures.Add(1)
+				}
 			}
-		}(c)
+		}
+		return nil
+	})
+	if err != nil {
+		return CycleReport{}, err
 	}
-	wg.Wait()
 	// Workers keep finishing their in-flight cycle past the deadline;
 	// throughput over the configured duration would count those ops
 	// against a window they didn't run in.
 	elapsed := time.Since(start)
 	total := acquires.Load() + renews.Load() + releases.Load()
-	quantiles := func(h *telemetry.Histogram) latSummary {
-		return latSummary{P50: h.Quantile(0.50), P99: h.Quantile(0.99)}
-	}
-	return loadReport{
+	return CycleReport{
 		Clients:    clients,
 		Batch:      batch,
 		Duration:   duration,
@@ -198,10 +226,10 @@ func runLoad(target string, clients, renewsPerLease, batch int, duration time.Du
 	}, nil
 }
 
-// sessionReport aggregates a -sessions load run: a standing population
-// of heartbeating holders (the renewal-dominated traffic shape a name
+// SessionReport aggregates a Sessions run: a standing population of
+// heartbeating holders (the renewal-dominated traffic shape a name
 // service actually serves) with optional churn clients alongside.
-type sessionReport struct {
+type SessionReport struct {
 	Holders  int // heartbeating leases, spread across Sessions
 	Sessions int
 	Churners int
@@ -234,11 +262,12 @@ type sessionReport struct {
 	ChurnReleases int64
 	ChurnFailures int64
 
-	RenewLat   latSummary // per renew_batch round trip, client-observed
+	RenewLat   LatSummary // per renew_batch round trip, client-observed
 	RenewsPerS float64
 }
 
-func (r sessionReport) print(out io.Writer) {
+// Print writes the human report.
+func (r SessionReport) Print(out io.Writer) {
 	fmt.Fprintf(out, "session load: %d holders over %d sessions, %d churners, configured %v, ran %v\n",
 		r.Holders, r.Sessions, r.Churners, r.Duration, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "  heartbeats %d (renew_batch round trips)\n  renews     %d\n  retries    %d\n  lost       %d\n  max token  %d\n",
@@ -251,21 +280,16 @@ func (r sessionReport) print(out io.Writer) {
 	fmt.Fprintf(out, "  renewal throughput %.0f renews/sec\n", r.RenewsPerS)
 }
 
-// runSessionLoad keeps `holders` leases alive for `duration` through
+// Sessions keeps `holders` leases alive for `duration` through
 // `clients` leaseclient sessions (each heartbeating its share in
 // coalesced renew_batch calls at a third of leaseTTL), while `churn`
 // workers cycle acquire→release alongside. Lost must come back 0: a
 // holder population whose renewals are on time never loses a lease.
 // The target scheme picks the wire for sessions and churners alike.
-func runSessionLoad(target string, holders, clients, churn int, leaseTTL, duration time.Duration) (sessionReport, error) {
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > holders {
-		clients = holders
-	}
+func Sessions(target string, holders, clients, churn int, leaseTTL, duration time.Duration) (SessionReport, error) {
+	clients = min(max(clients, 1), holders)
 	if err := pingTarget(target); err != nil {
-		return sessionReport{}, err
+		return SessionReport{}, err
 	}
 
 	var lost atomic.Int64
@@ -293,7 +317,7 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 		})
 		if err != nil {
 			closeAll()
-			return sessionReport{}, err
+			return SessionReport{}, err
 		}
 		sessions = append(sessions, s)
 		// Spread the holders across sessions, remainder to the first few.
@@ -306,17 +330,16 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 		}
 		if _, err := s.AcquireN(context.Background(), share); err != nil {
 			closeAll()
-			return sessionReport{}, fmt.Errorf("session %d acquiring %d holders: %w", c, share, err)
+			return SessionReport{}, fmt.Errorf("session %d acquiring %d holders: %w", c, share, err)
 		}
 	}
 
 	// The measured window opens only after every session is populated:
 	// setup (N acquire_batch round trips) must not dilute the renewal
 	// throughput, and the window closes BEFORE teardown for the same
-	// reason — the classic loadgen had exactly this measured-vs-configured
-	// window bug on its elapsed time. Counters are baselined here so
-	// heartbeats that fired while later sessions were still acquiring
-	// don't count against the window either.
+	// reason. Counters are baselined here so heartbeats that fired while
+	// later sessions were still acquiring don't count against the window
+	// either.
 	var baseHeartbeats, baseRenews, baseRetries int64
 	for _, s := range sessions {
 		st := s.Stats()
@@ -330,36 +353,29 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 	// time, sharing the server with the heartbeat storm.
 	var churnAcquires, churnReleases, churnFailures atomic.Int64
 	deadline := start.Add(duration)
-	var wg sync.WaitGroup
-	for c := 0; c < churn; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tr, err := leaseclient.NewTransport(target)
+	err := fanOut(target, churn, func(id int, tr leaseclient.Transport) error {
+		ctx := context.Background()
+		owner := fmt.Sprintf("churn-%d", id)
+		for time.Now().Before(deadline) {
+			l, err := tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
 			if err != nil {
 				churnFailures.Add(1)
-				return
+				continue
 			}
-			defer tr.Close()
-			ctx := context.Background()
-			owner := fmt.Sprintf("churn-%d", id)
-			for time.Now().Before(deadline) {
-				l, err := tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
-				if err != nil {
-					churnFailures.Add(1)
-					continue
-				}
-				churnAcquires.Add(1)
-				if tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token}) == nil {
-					churnReleases.Add(1)
-				} else {
-					churnFailures.Add(1)
-				}
+			churnAcquires.Add(1)
+			if tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token}) == nil {
+				churnReleases.Add(1)
+			} else {
+				churnFailures.Add(1)
 			}
-		}(c)
+		}
+		return nil
+	})
+	if err != nil {
+		closeAll()
+		return SessionReport{}, err
 	}
 	time.Sleep(time.Until(deadline))
-	wg.Wait()
 
 	// Snapshot the counters and close the window at the same instant,
 	// before teardown: closeAll's release_batch round trips are not
@@ -388,7 +404,7 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 	retries -= baseRetries
 	elapsed := time.Since(start)
 	closeAll()
-	return sessionReport{
+	return SessionReport{
 		Holders:       holders,
 		Sessions:      len(sessions),
 		Churners:      churn,
@@ -404,7 +420,7 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 		ChurnAcquires: churnAcquires.Load(),
 		ChurnReleases: churnReleases.Load(),
 		ChurnFailures: churnFailures.Load(),
-		RenewLat:      latSummary{P50: renewLat.Quantile(0.50), P99: renewLat.Quantile(0.99)},
+		RenewLat:      quantiles(renewLat),
 		RenewsPerS:    float64(renews) / elapsed.Seconds(),
 	}, nil
 }

@@ -60,9 +60,8 @@ func (v *verdictSet) inc(code string) {
 
 // Telemetry is the service core's metric surface: request counts and
 // latency labeled by (transport, op), and the per-item batch verdict
-// counters shared by every transport. The legacy renamed_http_* series
-// remain with the HTTP adapter — they predate the second transport and
-// dashboards depend on them byte-for-byte.
+// counters shared by every transport — the only per-op request series
+// on /metrics.
 type Telemetry struct {
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec
